@@ -93,6 +93,9 @@ func run() (int, error) {
 		}
 	}()
 
+	if *nodeLimit > bdd.MaxNodeLimit {
+		return 2, fmt.Errorf("-bdd-nodes %d above the BDD kernel's maximum %d", *nodeLimit, bdd.MaxNodeLimit)
+	}
 	spec := campaign.Spec{DeltaInit: *deltaInit}
 	if spec.Ns, err = parseInts(*ns); err != nil {
 		return 2, fmt.Errorf("-n: %w", err)

@@ -54,6 +54,9 @@ func run() error {
 		workers    = flag.Int("j", 1, "with -all, lint this many models concurrently (0: GOMAXPROCS)")
 	)
 	flag.Parse()
+	if *nodeLimit > bdd.MaxNodeLimit {
+		return fmt.Errorf("-bdd-nodes %d above the BDD kernel's maximum %d", *nodeLimit, bdd.MaxNodeLimit)
+	}
 
 	var targets []target
 	if *all {

@@ -84,6 +84,9 @@ func run() (err error) {
 		heartbeat  = flag.Duration("heartbeat", 0, "print a one-line progress summary at this interval (0: off)")
 	)
 	flag.Parse()
+	if *nodeLimit > bdd.MaxNodeLimit {
+		return fmt.Errorf("-bdd-nodes %d above the BDD kernel's maximum %d", *nodeLimit, bdd.MaxNodeLimit)
+	}
 
 	scope, obsDone, err := obs.Setup(obs.SetupOptions{
 		TracePath: *tracePath,

@@ -1,8 +1,16 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with a chained unique table, a direct-mapped operation cache, explicit
-// mark-and-sweep garbage collection, quantification, relational products,
-// order-preserving renaming, and exact model counting. It is the backend of
-// the symbolic model checker (package mc/symbolic).
+// with a paged node pool, a chained unique table, a direct-mapped operation
+// cache that by default grows with the unique table, explicit mark-and-sweep
+// garbage collection, quantification, relational products, order-preserving
+// renaming, and exact model counting. It is the backend of the symbolic
+// model checker (package mc/symbolic).
+//
+// Memory layout: nodes live in fixed-size pages that are appended, never
+// copied, so a *node stays valid while the pool grows. The unique table
+// doubles when the live pool outgrows twice its bucket count; the default
+// op cache doubles with it, one 16-byte entry per bucket, keeping its
+// entries. Every sizing decision depends only on node counts, so the work
+// an operation does repeats exactly from run to run.
 package bdd
 
 import (
@@ -25,36 +33,60 @@ const (
 // manager exceeds its configured node capacity.
 var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 
+// MaxNodeLimit is the largest Config.NodeLimit New accepts: op-cache keys
+// keep the operation code in the top three bits of a 32-bit node reference.
+const MaxNodeLimit = 1 << opShift
+
 type node struct {
-	level     int32 // position in the current order; terminals use level = nvars
+	level     int32 // position in the current order; terminals use level = nvars; -1 marks a free slot
 	low, high Ref
 	next      int32 // unique-table chain
 }
 
+// The node pool is a list of fixed-size pages: growth appends a page and
+// never moves a node.
+const (
+	pageBits = 16 // 1<<16 nodes, 1 MiB per page
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+type page [pageSize]node
+
+// cacheEntry is one 16-byte op-cache slot. key holds the first operand in
+// its low opShift bits and the operation code above them; the zero key
+// marks an empty slot (operation codes start at 1).
 type cacheEntry struct {
-	op      int32
-	f, g, h Ref
-	result  Ref
+	key          uint32
+	g, h, result Ref
 }
 
 // Cache operation codes.
 const (
-	opIte int32 = iota + 1
+	opIte uint32 = iota + 1
 	opExists
 	opAndExists
 	opPermute
 )
+
+const opShift = 29
+
+// initBuckets is the unique table's starting bucket count, and the default
+// op cache's starting entry count.
+const initBuckets = 1 << 14
 
 // Manager owns the node pool of a BDD universe. Variables start at level
 // i = variable index (0 is topmost); dynamic reordering (see reorder.go)
 // may move them, with var2level/level2var tracking the mapping. All public
 // APIs speak variable indices; node levels are internal.
 type Manager struct {
-	nvars   int32
-	nodes   []node
-	free    []Ref // freelist from GC
-	buckets []int32
-	cache   []cacheEntry
+	nvars     int32
+	pages     []*page
+	size      int   // slots handed out, terminals and free slots included
+	free      []Ref // freelist from GC
+	buckets   []int32
+	cache     []cacheEntry
+	cacheAuto bool // the cache doubles with the unique table
 
 	var2level []int32   // variable index -> level
 	level2var []int32   // level -> variable index
@@ -91,10 +123,12 @@ type Manager struct {
 
 // Config tunes a Manager.
 type Config struct {
-	// NodeLimit caps the node pool (0 = default 48M nodes, roughly 1 GiB).
+	// NodeLimit caps the node pool (0 = default 48M nodes, roughly 1 GiB;
+	// at most MaxNodeLimit).
 	NodeLimit int
-	// CacheSize is the operation-cache entry count, rounded up to a power
-	// of two (0 = default 1<<20).
+	// CacheSize pins the operation-cache entry count, rounded up to a
+	// power of two. 0 (the default) sizes the cache with the unique
+	// table: one entry per bucket, doubling as the live pool grows.
 	CacheSize int
 	// AutoReorder arms dynamic variable reordering: once the node pool
 	// grows past the reorder threshold, the manager flags a reorder as
@@ -117,8 +151,8 @@ func New(nvars int, cfg Config) *Manager {
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = 48 << 20
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 1 << 20
+	if cfg.NodeLimit > MaxNodeLimit {
+		panic(fmt.Sprintf("bdd: NodeLimit %d above MaxNodeLimit %d", cfg.NodeLimit, MaxNodeLimit))
 	}
 	if cfg.ReorderStart == 0 {
 		cfg.ReorderStart = 1 << 14
@@ -126,15 +160,18 @@ func New(nvars int, cfg Config) *Manager {
 	if cfg.ReorderMaxGrowth == 0 {
 		cfg.ReorderMaxGrowth = 1.2
 	}
-	cacheSize := 1
-	for cacheSize < cfg.CacheSize {
-		cacheSize <<= 1
+	cacheSize := initBuckets
+	if cfg.CacheSize > 0 {
+		cacheSize = 1
+		for cacheSize < cfg.CacheSize {
+			cacheSize <<= 1
+		}
 	}
 	m := &Manager{
 		nvars:            int32(nvars),
-		nodes:            make([]node, 2, 1<<16),
-		buckets:          make([]int32, 1<<14),
+		buckets:          make([]int32, initBuckets),
 		cache:            make([]cacheEntry, cacheSize),
+		cacheAuto:        cfg.CacheSize <= 0,
 		roots:            make(map[Ref]int),
 		nodeLimit:        cfg.NodeLimit,
 		var2level:        make([]int32, nvars),
@@ -151,9 +188,26 @@ func New(nvars int, cfg Config) *Manager {
 		m.var2level[i] = int32(i)
 		m.level2var[i] = int32(i)
 	}
-	m.nodes[False] = node{level: m.nvars, low: False, high: False, next: -1}
-	m.nodes[True] = node{level: m.nvars, low: True, high: True, next: -1}
+	*m.node(m.alloc()) = node{level: m.nvars, low: False, high: False, next: -1}
+	*m.node(m.alloc()) = node{level: m.nvars, low: True, high: True, next: -1}
 	return m
+}
+
+// node returns the slot of r. Pages never move, so the pointer stays valid
+// across pool growth.
+func (m *Manager) node(r Ref) *node { return &m.pages[r>>pageBits][r&pageMask] }
+
+// alloc hands out the next never-used slot, appending a page when the last
+// one is full. The caller fills the slot.
+func (m *Manager) alloc() Ref {
+	if m.size == len(m.pages)<<pageBits {
+		if m.size >= MaxNodeLimit {
+			panic(ErrNodeLimit)
+		}
+		m.pages = append(m.pages, new(page))
+	}
+	m.size++
+	return Ref(m.size - 1)
 }
 
 // NumVars returns the variable count.
@@ -161,12 +215,12 @@ func (m *Manager) NumVars() int { return int(m.nvars) }
 
 // NumNodes returns the number of live (allocated, not freed) nodes,
 // including the two terminals.
-func (m *Manager) NumNodes() int { return len(m.nodes) - len(m.free) }
+func (m *Manager) NumNodes() int { return m.size - len(m.free) }
 
 // Level returns the level (position in the current variable order)
 // labelling f, or NumVars for terminals. Until a reorder has run, level
 // and variable index coincide; use VarLevel/VarAt to convert afterwards.
-func (m *Manager) Level(f Ref) int { return int(m.nodes[f].level) }
+func (m *Manager) Level(f Ref) int { return int(m.node(f).level) }
 
 // VarLevel returns the current level of variable i.
 func (m *Manager) VarLevel(i int) int { return int(m.var2level[i]) }
@@ -185,10 +239,10 @@ func (m *Manager) VarOrder() []int {
 }
 
 // Low and High return the cofactors of a non-terminal node.
-func (m *Manager) Low(f Ref) Ref { return m.nodes[f].low }
+func (m *Manager) Low(f Ref) Ref { return m.node(f).low }
 
 // High returns the positive cofactor of a non-terminal node.
-func (m *Manager) High(f Ref) Ref { return m.nodes[f].high }
+func (m *Manager) High(f Ref) Ref { return m.node(f).high }
 
 // Var returns the BDD for variable i.
 func (m *Manager) Var(i int) Ref {
@@ -215,24 +269,24 @@ func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 		return low
 	}
 	h := hash3(level, int32(low), int32(high)) & uint64(len(m.buckets)-1)
-	for i := m.buckets[h]; i >= 0; i = m.nodes[i].next {
-		n := &m.nodes[i]
+	for i := m.buckets[h]; i >= 0; {
+		n := m.node(Ref(i))
 		if n.level == level && n.low == low && n.high == high {
 			return Ref(i)
 		}
+		i = n.next
 	}
 	var r Ref
 	if len(m.free) > 0 {
 		r = m.free[len(m.free)-1]
 		m.free = m.free[:len(m.free)-1]
-		m.nodes[r] = node{level: level, low: low, high: high, next: m.buckets[h]}
 	} else {
-		if len(m.nodes) >= m.nodeLimit {
+		if m.size >= m.nodeLimit {
 			panic(ErrNodeLimit)
 		}
-		m.nodes = append(m.nodes, node{level: level, low: low, high: high, next: m.buckets[h]})
-		r = Ref(len(m.nodes) - 1)
+		r = m.alloc()
 	}
+	*m.node(r) = node{level: level, low: low, high: high, next: m.buckets[h]}
 	m.buckets[h] = int32(r)
 	if m.autoReorder && !m.reorderPending && m.NumNodes() >= m.reorderThreshold {
 		m.reorderPending = true
@@ -243,32 +297,47 @@ func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 	return r
 }
 
+// rehash doubles the unique table and, when the cache follows it, the op
+// cache too.
 func (m *Manager) rehash() {
 	m.buckets = make([]int32, len(m.buckets)*2)
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
-	freeSet := make(map[Ref]bool, len(m.free))
-	for _, f := range m.free {
-		freeSet[f] = true
-	}
-	for i := 2; i < len(m.nodes); i++ {
-		if freeSet[Ref(i)] {
-			continue
-		}
-		n := &m.nodes[i]
-		if n.level < 0 { // freed during a reorder, not yet collected
+	for i := 2; i < m.size; i++ {
+		n := m.node(Ref(i))
+		if n.level < 0 { // free, or freed during a reorder
 			continue
 		}
 		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 		n.next = m.buckets[h]
 		m.buckets[h] = int32(i)
 	}
+	if m.cacheAuto {
+		m.growCache()
+	}
 }
 
-func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
-	e := &m.cache[hash3(op^int32(f), int32(g), int32(h))&uint64(len(m.cache)-1)]
-	if e.op == op && e.f == f && e.g == g && e.h == h {
+// growCache doubles the op cache and re-inserts its entries. An entry in
+// old slot i can only land in slot i or i+len(old), so none is lost.
+func (m *Manager) growCache() {
+	old := m.cache
+	m.cache = make([]cacheEntry, 2*len(old))
+	for i := range old {
+		if e := &old[i]; e.key != 0 {
+			*m.cacheSlot(e.key, e.g, e.h) = *e
+		}
+	}
+}
+
+func (m *Manager) cacheSlot(key uint32, g, h Ref) *cacheEntry {
+	return &m.cache[hash3(int32(key), int32(g), int32(h))&uint64(len(m.cache)-1)]
+}
+
+func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
+	key := uint32(f) | op<<opShift
+	e := m.cacheSlot(key, g, h)
+	if e.key == key && e.g == g && e.h == h {
 		m.cacheHits++
 		return e.result, true
 	}
@@ -276,9 +345,9 @@ func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
 	return 0, false
 }
 
-func (m *Manager) cacheStore(op int32, f, g, h, result Ref) {
-	e := &m.cache[hash3(op^int32(f), int32(g), int32(h))&uint64(len(m.cache)-1)]
-	*e = cacheEntry{op: op, f: f, g: g, h: h, result: result}
+func (m *Manager) cacheStore(op uint32, f, g, h, result Ref) {
+	key := uint32(f) | op<<opShift
+	*m.cacheSlot(key, g, h) = cacheEntry{key: key, g: g, h: h, result: result}
 }
 
 // Ite computes if-then-else: f ? g : h.
@@ -297,7 +366,7 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 	if r, ok := m.cacheLookup(opIte, f, g, h); ok {
 		return r
 	}
-	nf, ng, nh := &m.nodes[f], &m.nodes[g], &m.nodes[h]
+	nf, ng, nh := m.node(f), m.node(g), m.node(h)
 	top := nf.level
 	if ng.level < top {
 		top = ng.level
@@ -316,7 +385,7 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 }
 
 func (m *Manager) cofactors(f Ref, level int32) (Ref, Ref) {
-	n := &m.nodes[f]
+	n := m.node(f)
 	if n.level != level {
 		return f, f
 	}

@@ -26,13 +26,14 @@ func (m *Manager) Unprotect(f Ref) {
 }
 
 // GC frees every node not reachable from the protected roots or the extra
-// roots given, and clears the operation cache. It must only be called at
-// points where no unprotected intermediate results are still needed. It
-// returns the number of nodes freed.
+// roots given, marking each freed slot with level -1, and clears the
+// operation cache. It must only be called at points where no unprotected
+// intermediate results are still needed. It returns the number of nodes
+// freed.
 func (m *Manager) GC(extra ...Ref) int {
 	gcStart := time.Now()
 	sp := m.obs.tracer.Start(obs.CatBDD, "gc")
-	marked := make([]bool, len(m.nodes))
+	marked := make([]bool, m.size)
 	marked[False] = true
 	marked[True] = true
 	var mark func(Ref)
@@ -41,7 +42,7 @@ func (m *Manager) GC(extra ...Ref) int {
 			return
 		}
 		marked[f] = true
-		n := &m.nodes[f]
+		n := m.node(f)
 		mark(n.low)
 		mark(n.high)
 	}
@@ -53,9 +54,7 @@ func (m *Manager) GC(extra ...Ref) int {
 	}
 
 	// Clear the operation cache (entries may reference dead nodes).
-	for i := range m.cache {
-		m.cache[i] = cacheEntry{}
-	}
+	clear(m.cache)
 
 	// Rebuild the freelist and the unique table.
 	freed := 0
@@ -63,13 +62,14 @@ func (m *Manager) GC(extra ...Ref) int {
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
-	for i := len(m.nodes) - 1; i >= 2; i-- {
+	for i := m.size - 1; i >= 2; i-- {
+		n := m.node(Ref(i))
 		if !marked[i] {
+			n.level = -1
 			m.free = append(m.free, Ref(i))
 			freed++
 			continue
 		}
-		n := &m.nodes[i]
 		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 		n.next = m.buckets[h]
 		m.buckets[h] = int32(i)

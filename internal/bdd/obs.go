@@ -19,6 +19,7 @@ type obsSinks struct {
 	nodes      *obs.Gauge
 	nodesPeak  *obs.Gauge
 	uniqueSize *obs.Gauge
+	cacheSize  *obs.Gauge
 
 	reorders     *obs.Counter
 	reorderSwaps *obs.Counter
@@ -42,6 +43,7 @@ func (m *Manager) SetObs(scope obs.Scope) {
 		nodes:      scope.Reg.Gauge(obs.MBDDNodes),
 		nodesPeak:  scope.Reg.Gauge(obs.MBDDNodesPeak),
 		uniqueSize: scope.Reg.Gauge(obs.MBDDUniqueSize),
+		cacheSize:  scope.Reg.Gauge(obs.MBDDCacheSize),
 
 		reorders:     scope.Reg.Counter(obs.MBDDReorders),
 		reorderSwaps: scope.Reg.Counter(obs.MBDDReorderSwaps),
@@ -51,8 +53,8 @@ func (m *Manager) SetObs(scope obs.Scope) {
 }
 
 // PublishObs flushes the manager's counters to the attached registry:
-// cache hit/miss deltas since the previous flush, plus the live-node and
-// unique-table gauges. Safe (and a near no-op) with no scope attached.
+// cache hit/miss deltas since the previous flush, plus the live-node,
+// unique-table and op-cache gauges. Safe (and a near no-op) with no scope attached.
 // The symbolic engine calls this once per fixpoint iteration.
 func (m *Manager) PublishObs() {
 	m.obs.hits.Add(int64(m.cacheHits - m.obs.lastHits))
@@ -62,6 +64,7 @@ func (m *Manager) PublishObs() {
 	m.obs.nodes.Set(n)
 	m.obs.nodesPeak.SetMax(n)
 	m.obs.uniqueSize.Set(int64(len(m.buckets)))
+	m.obs.cacheSize.Set(int64(len(m.cache)))
 }
 
 // publishGC records one collection: counters, the pause histogram, and a
@@ -87,6 +90,7 @@ func (m *Manager) publishReorder(sp *obs.Span, st ReorderStats) {
 type Stats struct {
 	Nodes        int           // live nodes, terminals included
 	UniqueSize   int           // unique-table bucket count
+	CacheSize    int           // op-cache entry count
 	CacheHits    int           // op-cache hits since creation
 	CacheMisses  int           // op-cache misses since creation
 	GCs          int           // collections run
@@ -103,6 +107,7 @@ func (m *Manager) SnapshotStats() Stats {
 	return Stats{
 		Nodes:        m.NumNodes(),
 		UniqueSize:   len(m.buckets),
+		CacheSize:    len(m.cache),
 		CacheHits:    m.cacheHits,
 		CacheMisses:  m.cacheMisses,
 		GCs:          m.gcCount,

@@ -149,21 +149,17 @@ func (m *Manager) sift(extra []Ref) int {
 
 // buildReorderState scans the pool once: per-level node lists, exact level
 // sizes, and reference counts (children plus protected/extra roots). It
-// runs right after a GC, so every non-free node is live.
+// runs right after a GC, so every node not marked free (level -1) is live.
 func (m *Manager) buildReorderState(extra []Ref) {
 	rs := m.rs
-	rs.ref = make([]int32, len(m.nodes))
+	rs.ref = make([]int32, m.size)
 	rs.lvl = make([][]Ref, m.nvars)
 	rs.count = make([]int, m.nvars)
-	isFree := make([]bool, len(m.nodes))
-	for _, f := range m.free {
-		isFree[f] = true
-	}
-	for i := 2; i < len(m.nodes); i++ {
-		if isFree[i] {
+	for i := 2; i < m.size; i++ {
+		n := m.node(Ref(i))
+		if n.level < 0 {
 			continue
 		}
-		n := &m.nodes[i]
 		rs.lvl[n.level] = append(rs.lvl[n.level], Ref(i))
 		rs.count[n.level]++
 		rs.total++
@@ -303,12 +299,12 @@ func (m *Manager) swapAdjacent(l int32) {
 
 	// Unhook both levels from the unique table (dead entries skipped).
 	for _, f := range oldA {
-		if m.nodes[f].level == l {
+		if m.node(f).level == l {
 			m.unhook(f)
 		}
 	}
 	for _, g := range oldB {
-		if m.nodes[g].level == l+1 {
+		if m.node(g).level == l+1 {
 			m.unhook(g)
 		}
 	}
@@ -318,21 +314,21 @@ func (m *Manager) swapAdjacent(l int32) {
 
 	// Pass 0: B-nodes rise to level l.
 	for _, g := range oldB {
-		if m.nodes[g].level != l+1 {
+		if m.node(g).level != l+1 {
 			continue
 		}
-		m.nodes[g].level = l
+		m.node(g).level = l
 		m.hook(g)
 		upper = append(upper, g)
 	}
 	// Pass 1: A-nodes independent of B sink to level l+1. They go into the
 	// table before any rebuild so pass 2 shares them instead of duplicating.
 	for _, f := range oldA {
-		n := &m.nodes[f]
+		n := m.node(f)
 		if n.level != l {
 			continue
 		}
-		if !(n.low > 1 && m.nodes[n.low].level == l) && !(n.high > 1 && m.nodes[n.high].level == l) {
+		if !(n.low > 1 && m.node(n.low).level == l) && !(n.high > 1 && m.node(n.high).level == l) {
 			n.level = l + 1
 			m.hook(f)
 			lower = append(lower, f)
@@ -341,25 +337,25 @@ func (m *Manager) swapAdjacent(l int32) {
 	// Pass 2: A-nodes depending on B are rewritten in place.
 	var orphans []Ref
 	for _, f := range oldA {
-		n := &m.nodes[f]
+		n := m.node(f)
 		if n.level != l { // moved in pass 1 or dead
 			continue
 		}
 		f0, f1 := n.low, n.high
-		dep0 := f0 > 1 && m.nodes[f0].level == l
-		dep1 := f1 > 1 && m.nodes[f1].level == l
+		dep0 := f0 > 1 && m.node(f0).level == l
+		dep1 := f1 > 1 && m.node(f1).level == l
 		if !dep0 && !dep1 {
 			continue // moved in pass 1
 		}
 		var f00, f01, f10, f11 Ref
 		if dep0 {
-			b0 := &m.nodes[f0]
+			b0 := m.node(f0)
 			f00, f01 = b0.low, b0.high
 		} else {
 			f00, f01 = f0, f0
 		}
 		if dep1 {
-			b1 := &m.nodes[f1]
+			b1 := m.node(f1)
 			f10, f11 = b1.low, b1.high
 		} else {
 			f10, f11 = f1, f1
@@ -371,10 +367,8 @@ func (m *Manager) swapAdjacent(l int32) {
 		rs.ref[f0]--
 		rs.ref[f1]--
 		orphans = append(orphans, f0, f1)
-		// reorderMk may have grown m.nodes and moved the backing array, so
-		// the write must re-resolve f — the pointer above can be stale.
-		nf := &m.nodes[f]
-		nf.low, nf.high = newLow, newHigh // level stays l; the label is now B
+		// n is still f's slot: reorderMk's allocations never move a node.
+		n.low, n.high = newLow, newHigh // level stays l; the label is now B
 		m.hook(f)
 		upper = append(upper, f)
 	}
@@ -404,14 +398,15 @@ func (m *Manager) reorderMk(level int32, low, high Ref, list *[]Ref) Ref {
 		return low
 	}
 	h := hash3(level, int32(low), int32(high)) & uint64(len(m.buckets)-1)
-	for i := m.buckets[h]; i >= 0; i = m.nodes[i].next {
-		n := &m.nodes[i]
+	for i := m.buckets[h]; i >= 0; {
+		n := m.node(Ref(i))
 		if n.level == level && n.low == low && n.high == high {
 			return Ref(i)
 		}
+		i = n.next
 	}
-	m.nodes = append(m.nodes, node{level: level, low: low, high: high, next: m.buckets[h]})
-	r := Ref(len(m.nodes) - 1)
+	r := m.alloc()
+	*m.node(r) = node{level: level, low: low, high: high, next: m.buckets[h]}
 	m.buckets[h] = int32(r)
 	rs := m.rs
 	rs.ref = append(rs.ref, 0)
@@ -430,8 +425,8 @@ func (m *Manager) reorderKill(r Ref) {
 	rs := m.rs
 	// The level>=0 guard makes kill idempotent: several rewrites can orphan
 	// the same shared node, queueing it more than once.
-	for r > 1 && rs.ref[r] <= 0 && m.nodes[r].level >= 0 {
-		n := &m.nodes[r]
+	for r > 1 && rs.ref[r] <= 0 && m.node(r).level >= 0 {
+		n := m.node(r)
 		m.unhook(r)
 		rs.count[n.level]--
 		rs.total--
@@ -446,16 +441,16 @@ func (m *Manager) reorderKill(r Ref) {
 
 // unhook removes f from its unique-table bucket chain.
 func (m *Manager) unhook(f Ref) {
-	n := &m.nodes[f]
+	n := m.node(f)
 	h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 	if m.buckets[h] == int32(f) {
 		m.buckets[h] = n.next
 		n.next = -1
 		return
 	}
-	for i := m.buckets[h]; i >= 0; i = m.nodes[i].next {
-		if m.nodes[i].next == int32(f) {
-			m.nodes[i].next = n.next
+	for i := m.buckets[h]; i >= 0; i = m.node(Ref(i)).next {
+		if p := m.node(Ref(i)); p.next == int32(f) {
+			p.next = n.next
 			n.next = -1
 			return
 		}
@@ -465,7 +460,7 @@ func (m *Manager) unhook(f Ref) {
 
 // hook inserts f into the unique-table bucket for its current triple.
 func (m *Manager) hook(f Ref) {
-	n := &m.nodes[f]
+	n := m.node(f)
 	h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 	n.next = m.buckets[h]
 	m.buckets[h] = int32(f)

@@ -6,8 +6,9 @@ import (
 )
 
 // checkInvariants verifies the structural health of the whole manager:
-// children strictly below parents, no duplicate triples (canonicity), no
-// collapsed nodes, every live node findable through the unique table, and
+// exactly the freelist slots marked free (level -1), children strictly
+// below parents, no duplicate triples (canonicity), no collapsed nodes,
+// every live node findable through the unique table, and
 // var2level/level2var mutually inverse.
 func checkInvariants(t *testing.T, m *Manager) {
 	t.Helper()
@@ -21,21 +22,21 @@ func checkInvariants(t *testing.T, m *Manager) {
 		isFree[f] = true
 	}
 	seen := make(map[[3]int32]Ref)
-	for i := 2; i < len(m.nodes); i++ {
+	for i := 2; i < m.size; i++ {
+		n := m.node(Ref(i))
+		if isFree[Ref(i)] != (n.level < 0) {
+			t.Fatalf("node %d: free-list membership %v but level %d", i, isFree[Ref(i)], n.level)
+		}
 		if isFree[Ref(i)] {
 			continue
-		}
-		n := &m.nodes[i]
-		if n.level < 0 {
-			t.Fatalf("node %d: reorder sentinel survived outside a reorder", i)
 		}
 		if n.low == n.high {
 			t.Fatalf("node %d: collapsed node in pool", i)
 		}
 		for _, c := range []Ref{n.low, n.high} {
-			if c > 1 && m.nodes[c].level <= n.level {
+			if c > 1 && m.node(c).level <= n.level {
 				t.Fatalf("node %d (level %d): child %d at level %d not strictly below",
-					i, n.level, c, m.nodes[c].level)
+					i, n.level, c, m.node(c).level)
 			}
 		}
 		key := [3]int32{n.level, int32(n.low), int32(n.high)}
@@ -46,7 +47,7 @@ func checkInvariants(t *testing.T, m *Manager) {
 		// The node must be reachable through its bucket chain.
 		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 		found := false
-		for j := m.buckets[h]; j >= 0; j = m.nodes[j].next {
+		for j := m.buckets[h]; j >= 0; j = m.node(Ref(j)).next {
 			if j == int32(i) {
 				found = true
 				break
@@ -346,12 +347,12 @@ func TestVarOrderAccessors(t *testing.T) {
 	}
 }
 
-// TestReorderPoolRealloc pins the swap primitive against Go slice-growth
-// aliasing: reorderMk appends to m.nodes, and an append that reallocates
-// the backing array invalidates any held *node pointer mid-rewrite. The
-// test clamps the pool's capacity to its length so the very first
-// reorderMk append relocates the array, then checks every function and
-// every structural invariant survived.
+// TestReorderPoolRealloc pins the swap primitive across pool growth:
+// reorderMk allocates nodes while a rewrite holds a *node into the pool.
+// The pool is padded with garbage up to a page boundary, so the leading
+// GC of Reorder leaves the last page full and the first node a swap
+// allocates opens a fresh page in the middle of sifting. Every function
+// and every structural invariant must survive.
 func TestReorderPoolRealloc(t *testing.T) {
 	const nvars = 12
 	rng := rand.New(rand.NewSource(42))
@@ -361,9 +362,13 @@ func TestReorderPoolRealloc(t *testing.T) {
 	for i, f := range funcs {
 		want[i] = truthTable(m, f, nvars)
 	}
-	// Force the next append to move the backing array.
-	m.nodes = m.nodes[:len(m.nodes):len(m.nodes)]
-	m.Reorder()
+	padPool(t, m, pageSize)
+	pages := len(m.pages)
+	st := m.Reorder()
+	if st.Swaps == 0 || len(m.pages) == pages {
+		t.Fatalf("reorder did not grow the pool past the page boundary (%d swaps, %d -> %d pages)",
+			st.Swaps, pages, len(m.pages))
+	}
 	checkInvariants(t, m)
 	for i, f := range funcs {
 		got := truthTable(m, f, nvars)

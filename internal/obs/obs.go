@@ -44,6 +44,7 @@ const (
 	MBDDCacheHits   = "bdd.cache.hits"   // counter: op-cache hits (ITE/quantify/compose/...)
 	MBDDCacheMisses = "bdd.cache.misses" // counter: op-cache misses
 	MBDDUniqueSize  = "bdd.unique.size"  // gauge: unique-table entries
+	MBDDCacheSize   = "bdd.cache.size"   // gauge: op-cache entries
 	MBDDGCs         = "bdd.gc.count"     // counter: mark-sweep collections
 	MBDDGCFreed     = "bdd.gc.freed"     // counter: nodes reclaimed across all GCs
 	MBDDGCPauseUS   = "bdd.gc.pause_us"  // histogram: stop-the-world pause per GC

@@ -56,18 +56,22 @@ func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	if addr == "" {
 		t.Fatalf("no pprof banner in log: %q", log.String())
 	}
-	if _, err := http.Get("http://" + addr + "/metricsz"); err != nil {
+	resp, err := http.Get("http://" + addr + "/metricsz")
+	if err != nil {
 		t.Fatalf("debug endpoint not serving before cancel: %v", err)
 	}
+	resp.Body.Close()
 
 	cancel()
 	// After cancel, the listener must refuse connections and the heartbeat
 	// goroutine must exit — without done() ever being called.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := http.Get("http://" + addr + "/metricsz"); err != nil {
+		resp, err := http.Get("http://" + addr + "/metricsz")
+		if err != nil {
 			break
 		}
+		resp.Body.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("debug endpoint still serving after context cancel")
 		}
