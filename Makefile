@@ -66,15 +66,18 @@ ic3-smoke:
 		-engines ic3 -delta-init 2 -quiet -heartbeat 0
 	$(GO) test -race -run 'TestIC3CancelMidRun|TestTTAEnginesAgree/bus' ./internal/mc/ic3/ ./internal/mc/
 
-# Fuzz smoke test: a fixed slice of both differential fuzz harnesses — the
-# BDD register machine with auto-reordering against truth-table oracles,
-# and random well-typed gcl expressions across interpreter, circuit and
-# BDD semantics. The committed corpora under testdata/fuzz replay in plain
-# `go test`; this target additionally mutates for 10 seconds each.
+# Fuzz smoke test: a fixed slice of the three differential fuzz harnesses
+# — the BDD register machine with auto-reordering against truth-table
+# oracles, random well-typed gcl expressions across interpreter, circuit
+# and BDD semantics, and incremental SAT programs (clauses, assumptions,
+# Simplify, frequent reduceDB) against brute-force enumeration. The
+# committed corpora under testdata/fuzz replay in plain `go test`; this
+# target additionally mutates for 10 seconds each.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzExprEval$$' -fuzztime 10s ./internal/gcl
+	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s ./internal/sat
 
 # Simulation-campaign smoke test: pause a Monte-Carlo fault-injection
 # campaign after three batches, resume it on a different worker count, run

@@ -62,3 +62,71 @@ func BenchmarkIncrementalAssumptions(b *testing.B) {
 		}
 	}
 }
+
+// andChains adds a Tseitin-encoded circuit over fresh input variables:
+// chains of AND gates, each gate conjoining the previous gate with a
+// random input literal. It returns the inputs and every gate output.
+func andChains(s *Solver, rng *rand.Rand, inputs, chains, length int) (in, gates []Lit) {
+	in = make([]Lit, inputs)
+	for i := range in {
+		in[i] = Pos(s.NewVar())
+	}
+	for range chains {
+		g := randFrom(rng, in)
+		for range length {
+			x, o := randFrom(rng, in), Pos(s.NewVar())
+			s.AddClause(o.Not(), g) // o = g ∧ x
+			s.AddClause(o.Not(), x)
+			s.AddClause(o, g.Not(), x.Not())
+			g = o
+			gates = append(gates, o)
+		}
+	}
+	return in, gates
+}
+
+// randFrom picks a literal of lits and negates it with probability ½.
+func randFrom(rng *rand.Rand, lits []Lit) Lit {
+	l := lits[rng.Intn(len(lits))]
+	if rng.Intn(2) == 0 {
+		return l.Not()
+	}
+	return l
+}
+
+// activationQuery issues one IC3-style query: a fresh activation literal
+// guards a temporary blocking clause over gate outputs and an input, the
+// solver runs under that literal, one gate, two negated gates and an
+// input, and the literal is then pinned false, retiring the clause.
+func activationQuery(s *Solver, rng *rand.Rand, in, gates []Lit) bool {
+	act := Pos(s.NewVar())
+	s.AddClause(act.Not(), gates[rng.Intn(len(gates))].Not(), gates[rng.Intn(len(gates))].Not(), randFrom(rng, in))
+	ok := s.Solve(act, gates[rng.Intn(len(gates))], gates[rng.Intn(len(gates))].Not(),
+		gates[rng.Intn(len(gates))].Not(), randFrom(rng, in))
+	s.AddClause(act.Not())
+	return ok
+}
+
+// BenchmarkActivationQueries measures IC3's usage pattern on a
+// long-lived solver: a fixed AND-chain circuit and a stream of activation
+// queries (see activationQuery). Simplify drops the retired clauses every
+// 2048 queries. The solver is rebuilt every 8192 queries so the cost per
+// query does not depend on b.N.
+func BenchmarkActivationQueries(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	var (
+		s         *Solver
+		in, gates []Lit
+	)
+	queries := 0
+	for b.Loop() {
+		if queries%8192 == 0 {
+			s = New()
+			in, gates = andChains(s, rng, 64, 32, 16)
+		}
+		activationQuery(s, rng, in, gates)
+		if queries++; queries%2048 == 0 {
+			s.Simplify()
+		}
+	}
+}
